@@ -82,6 +82,15 @@ if [ "$a" != "$b" ]; then
     exit 1
 fi
 
+echo "== fleet determinism gate (bit-identical across widths)"
+a="$(FIREFLY_JOBS=1 cargo run --release -q -p firefly-bench --bin fleet -- --smoke --json --out /tmp/bench7-j1.json)"
+b="$(FIREFLY_JOBS=4 cargo run --release -q -p firefly-bench --bin fleet -- --smoke --json --out /tmp/bench7-j4.json)"
+rm -f /tmp/bench7-j1.json /tmp/bench7-j4.json
+if [ "$a" != "$b" ]; then
+    echo "fleet --smoke --json differs between FIREFLY_JOBS=1 and 4" >&2
+    exit 1
+fi
+
 echo "== trace smoke: protocol_compare --smoke --trace + trace_check"
 trace_file="$(mktemp /tmp/firefly-trace.XXXXXX.json)"
 trap 'rm -f "$trace_file"' EXIT

@@ -18,7 +18,9 @@
 //!    oracle.
 //!
 //! Flags: `--smoke` (CI sizing), `--seed N`, `--out PATH` (default
-//! `BENCH_7.json`), `--json`. Exits nonzero if any gate fails.
+//! `BENCH_7.json`), `--json` (prints the deterministic slice — no wall
+//! clock — for the jobs-width identity gate). Exits nonzero if any gate
+//! fails.
 
 use firefly_bench::report;
 use firefly_sim::fleet::{
@@ -55,6 +57,20 @@ struct SaturationPoint {
     collisions: u64,
 }
 
+/// The deterministic slice of the report — everything `--json` prints.
+#[derive(Debug, Serialize)]
+struct DeterministicReport {
+    bench: String,
+    seed: u64,
+    smoke: bool,
+    saturation: Vec<SaturationPoint>,
+    storm_naive: StormOutcome,
+    storm_budgeted: StormOutcome,
+    crash: CrashOutcome,
+    crash_recovery_cycles: i64,
+}
+
+/// The full document written to `--out`.
 #[derive(Debug, Serialize)]
 struct BenchReport {
     bench: String,
@@ -141,23 +157,33 @@ fn main() {
         && crash_outcome.oracle_violations == 0;
     let pass = storm_gate && crash_gate;
 
-    let doc = BenchReport {
+    let deterministic = DeterministicReport {
         bench: "BENCH_7".to_string(),
         seed,
         smoke,
-        wall_ns,
         saturation,
         crash_recovery_cycles: crash_outcome.recovery_cycles.map_or(-1, |c| c as i64),
         storm_naive,
         storm_budgeted,
         crash: crash_outcome,
+    };
+    let doc = BenchReport {
+        bench: deterministic.bench.clone(),
+        seed,
+        smoke,
+        wall_ns,
+        saturation: deterministic.saturation.clone(),
+        storm_naive: deterministic.storm_naive.clone(),
+        storm_budgeted: deterministic.storm_budgeted.clone(),
+        crash: deterministic.crash.clone(),
+        crash_recovery_cycles: deterministic.crash_recovery_cycles,
         pass,
     };
     let json = doc.to_json();
     std::fs::write(&out, format!("{json}\n")).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
 
     if report::json_requested() {
-        println!("{json}");
+        println!("{}", deterministic.to_json());
     } else {
         report::section(&format!("fleet bench: RPC serving over lossy Ethernet (seed {seed:#x})"));
         println!(

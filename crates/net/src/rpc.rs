@@ -763,22 +763,39 @@ impl RpcClient {
             self.admitted_slot(cur + 1, now).filter(|&slot| slot != cur)
         };
         let Some(slot) = target else { return };
+        if seg.tx_room(self.nic as usize) {
+            self.send_request(seg, seq, slot, payload_bytes, attempts, priority);
+            self.stats.hedges += 1;
+        } else {
+            self.stats.tx_ring_full += 1;
+        }
+    }
+
+    /// Queues attempt `attempt` of call `seq` to the server at `slot`.
+    /// The caller has checked [`EtherSegment::tx_room`], so the frame is
+    /// only built when the ring will take it.
+    fn send_request(
+        &self,
+        seg: &mut EtherSegment,
+        seq: u64,
+        slot: usize,
+        payload_bytes: u32,
+        attempt: u32,
+        priority: u8,
+    ) {
         let server = self.servers[slot];
         let msg = RpcMsg::Request {
             client: self.nic,
             seq,
             server,
             payload_bytes,
-            attempt: attempts,
+            attempt,
             priority,
             epoch: self.epochs[slot],
             ack_below: self.ack_below(),
         };
-        if seg.enqueue(Frame::new(self.nic as usize, server as usize, msg.encode())) {
-            self.stats.hedges += 1;
-        } else {
-            self.stats.tx_ring_full += 1;
-        }
+        let queued = seg.enqueue(Frame::new(self.nic as usize, server as usize, msg.encode()));
+        debug_assert!(queued, "a TX ring with room accepts the frame");
     }
 
     /// One cycle of client work: absorb replies, expire timeouts and
@@ -926,19 +943,8 @@ impl RpcClient {
                 let p = &self.pending[&seq];
                 let (slot, payload_bytes, priority) = (p.server_slot, p.payload_bytes, p.priority);
                 let attempt = p.attempts + 1;
-                let server = self.servers[slot];
-                let msg = RpcMsg::Request {
-                    client: self.nic,
-                    seq,
-                    server,
-                    payload_bytes,
-                    attempt,
-                    priority,
-                    epoch: self.epochs[slot],
-                    ack_below: self.ack_below(),
-                };
-                let frame = Frame::new(self.nic as usize, server as usize, msg.encode());
-                if seg.enqueue(frame) {
+                if seg.tx_room(self.nic as usize) {
+                    self.send_request(seg, seq, slot, payload_bytes, attempt, priority);
                     let t = self.next_timeout(attempt);
                     let submitted = self.pending[&seq].submitted;
                     let at = self.arm_at(submitted, now, t);
@@ -986,19 +992,8 @@ impl RpcClient {
                 self.stats.fast_failed += 1;
                 continue;
             };
-            let server = self.servers[server_slot];
-            let msg = RpcMsg::Request {
-                client: self.nic,
-                seq,
-                server,
-                payload_bytes,
-                attempt: 1,
-                priority,
-                epoch: self.epochs[server_slot],
-                ack_below: self.ack_below(),
-            };
-            let frame = Frame::new(self.nic as usize, server as usize, msg.encode());
-            if seg.enqueue(frame) {
+            if seg.tx_room(self.nic as usize) {
+                self.send_request(seg, seq, server_slot, payload_bytes, 1, priority);
                 self.backlog.pop_front();
                 self.next_seq += 1;
                 let t = self.next_timeout(1);
@@ -1026,6 +1021,24 @@ impl RpcClient {
                 self.stats.tx_ring_full += 1;
                 break;
             }
+        }
+    }
+
+    /// The earliest cycle after `now` at which [`tick`] could do
+    /// anything, assuming no frame arrives for this client first (an
+    /// arrival is a segment event): `now + 1` while the backlog may
+    /// admit a call, else the next timer. The timer may be early (after
+    /// an ack); that only costs one tick that finds nothing due.
+    ///
+    /// [`tick`]: RpcClient::tick
+    pub fn next_event(&self, now: u64) -> u64 {
+        let admissible = !self.backlog.is_empty()
+            && (self.policy.max_outstanding == 0
+                || self.pending.len() < self.policy.max_outstanding);
+        if admissible {
+            now + 1
+        } else {
+            self.next_deadline
         }
     }
 
@@ -1412,14 +1425,19 @@ impl RpcServer {
     /// Queues `msg` to a client, spilling to the bounded reply backlog
     /// when the TX ring is full.
     fn send_to_client(&mut self, client: u32, msg: RpcMsg, seg: &mut EtherSegment) {
+        let room = seg.tx_room(self.nic as usize);
+        if !room && self.reply_backlog.len() >= REPLY_BACKLOG_CAP {
+            self.stats.replies_dropped += 1;
+            return;
+        }
         let frame = Frame::new(self.nic as usize, client as usize, msg.encode());
-        if seg.enqueue(frame.clone()) {
+        if room {
+            let queued = seg.enqueue(frame);
+            debug_assert!(queued, "a TX ring with room accepts the frame");
             self.stats.replies_sent += 1;
-        } else if self.reply_backlog.len() < REPLY_BACKLOG_CAP {
+        } else {
             self.stats.tx_ring_full += 1;
             self.reply_backlog.push_back(frame);
-        } else {
-            self.stats.replies_dropped += 1;
         }
     }
 
@@ -1478,13 +1496,11 @@ impl RpcServer {
     /// One cycle of server work: flush the reply backlog, absorb and
     /// dedup requests, complete finished jobs, start queued ones.
     pub fn tick(&mut self, now: u64, seg: &mut EtherSegment) {
-        while let Some(frame) = self.reply_backlog.front() {
-            if seg.enqueue(frame.clone()) {
-                self.reply_backlog.pop_front();
-                self.stats.replies_sent += 1;
-            } else {
-                break;
-            }
+        while !self.reply_backlog.is_empty() && seg.tx_room(self.nic as usize) {
+            let frame = self.reply_backlog.pop_front().expect("backlog non-empty");
+            let queued = seg.enqueue(frame);
+            debug_assert!(queued, "a TX ring with room accepts the frame");
+            self.stats.replies_sent += 1;
         }
 
         while let Some(frame) = seg.recv(self.nic as usize) {
@@ -1569,6 +1585,32 @@ impl RpcServer {
                 }
             }
         }
+    }
+
+    /// The earliest cycle at which [`tick`] could do more than re-poll a
+    /// full TX ring (see [`tx_stalled`]), assuming no request arrives
+    /// first (an arrival is a segment event): the first running job's
+    /// completion, `u64::MAX` when idle. After a tick a job waits in the
+    /// queue only while every thread is busy, so none can start sooner.
+    ///
+    /// [`tick`]: RpcServer::tick
+    /// [`tx_stalled`]: RpcServer::tx_stalled
+    pub fn next_event(&self) -> u64 {
+        debug_assert!(
+            self.queue.is_empty() || self.running.iter().all(Option::is_some),
+            "a queued job would start on the next tick"
+        );
+        self.running.iter().flatten().map(|job| job.done_at).min().unwrap_or(u64::MAX)
+    }
+
+    /// Whether replies are waiting on a full TX ring. Each [`tick`]
+    /// then retries the ring once and counts one rejected enqueue; the
+    /// ring drains only when the segment puts one of its frames on the
+    /// wire.
+    ///
+    /// [`tick`]: RpcServer::tick
+    pub fn tx_stalled(&self) -> bool {
+        !self.reply_backlog.is_empty()
     }
 
     /// Serializes the complete server state.

@@ -374,14 +374,25 @@ impl EtherSegment {
     /// caller's backpressure signal.
     pub fn enqueue(&mut self, frame: Frame) -> bool {
         assert!(frame.src < self.cfg.nics && frame.dst < self.cfg.nics, "NIC index out of range");
-        let nic = &mut self.nics[frame.src];
-        if !nic.online || nic.tx.len() >= self.cfg.tx_ring {
-            self.stats.tx_rejected += 1;
+        if !self.tx_room(frame.src) {
             return false;
         }
-        nic.tx.push_back(frame);
+        self.nics[frame.src].tx.push_back(frame);
         self.stats.tx_enqueued += 1;
         true
+    }
+
+    /// Whether `nic`'s TX ring would accept a frame now. A `false` is
+    /// counted in `tx_rejected` exactly as the failed
+    /// [`enqueue`](EtherSegment::enqueue) it stands for, so a sender can
+    /// ask first and skip building a frame the ring would refuse.
+    pub fn tx_room(&mut self, nic: usize) -> bool {
+        let n = &self.nics[nic];
+        let room = n.online && n.tx.len() < self.cfg.tx_ring;
+        if !room {
+            self.stats.tx_rejected += 1;
+        }
+        room
     }
 
     /// Pops the next received frame for `nic`, if any.
@@ -423,6 +434,49 @@ impl EtherSegment {
         if self.wire.is_none() {
             self.arbitrate(now);
         }
+    }
+
+    /// The earliest cycle after the current one at which [`tick`]
+    /// does anything but count wire-busy time: the in-flight frame
+    /// completes, a reordered frame is released, or — on an idle wire —
+    /// an online NIC with queued TX ends its backoff and contends.
+    /// `u64::MAX` on a quiet segment.
+    ///
+    /// [`tick`]: EtherSegment::tick
+    pub fn next_event(&self) -> u64 {
+        let mut at = self.delayed.iter().map(|&(at, _)| at).min().unwrap_or(u64::MAX);
+        match &self.wire {
+            Some((done_at, _)) => at = at.min(*done_at),
+            None => {
+                for nic in self.nics.iter().filter(|n| n.online && !n.tx.is_empty()) {
+                    at = at.min(nic.backoff_until);
+                }
+            }
+        }
+        at.max(self.cycle + 1)
+    }
+
+    /// Jumps to cycle `to` across a span of ticks that would do nothing
+    /// (`to` is before [`next_event`](EtherSegment::next_event)),
+    /// crediting the wire-busy cycles they would have counted. Each NIC
+    /// in `stalled` belongs to a sender that re-polls its full TX ring
+    /// every cycle; each poll counts one `tx_rejected`, as its failed
+    /// `enqueue` would.
+    pub fn advance(&mut self, to: u64, stalled: impl IntoIterator<Item = usize>) {
+        debug_assert!(to < self.next_event(), "advance would skip a segment event");
+        let span = to - self.cycle;
+        if self.wire.is_some() {
+            self.stats.wire_busy_cycles += span;
+        }
+        for nic in stalled {
+            let n = &self.nics[nic];
+            debug_assert!(
+                n.online && n.tx.len() >= self.cfg.tx_ring,
+                "NIC {nic} is counted as stalled but its TX ring has room"
+            );
+            self.stats.tx_rejected += span;
+        }
+        self.cycle = to;
     }
 
     /// CSMA/CD contention round on an idle wire.

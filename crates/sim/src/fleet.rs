@@ -515,6 +515,12 @@ impl ClientHost {
         self.rpc.tick(now, seg);
     }
 
+    /// The earliest cycle after `now` at which [`tick`](ClientHost::tick)
+    /// does anything: the next arrival or the endpoint's next event.
+    fn next_event(&self, now: u64) -> u64 {
+        self.next_arrival.min(self.rpc.next_event(now))
+    }
+
     fn save(&self, w: &mut SnapWriter) {
         self.rpc.save(w);
         for word in self.arrivals.state() {
@@ -668,7 +674,9 @@ impl Fleet {
     }
 
     /// Advances the fleet one cycle: wire first, then servers, then
-    /// clients — a fixed order so runs are deterministic.
+    /// clients — a fixed order so runs are deterministic. This is the
+    /// per-cycle reference that [`run_until`](Fleet::run_until) must
+    /// match bit for bit.
     pub fn step(&mut self) {
         self.segment.tick();
         let now = self.segment.cycle();
@@ -686,17 +694,58 @@ impl Fleet {
 
     /// Runs `cycles` additional cycles.
     pub fn run(&mut self, cycles: u64) {
-        for _ in 0..cycles {
+        self.run_until(self.cycle + cycles);
+    }
+
+    /// Runs until the fleet cycle reaches `target` (no-op if already
+    /// there), bit-identically to calling [`step`](Fleet::step) once per
+    /// cycle. Cycles in which no layer would do anything are skipped:
+    /// the fleet jumps to the cycle before the earliest event (capped at
+    /// `target`) and steps that one.
+    ///
+    /// The skip relies on one invariant: after a full step every online
+    /// host has drained its RX ring, so a frame arrival is always a
+    /// segment event (a delivery at a wire completion or a reorder
+    /// release) and never hides in a host's state.
+    pub fn run_until(&mut self, target: u64) {
+        while self.cycle < target {
+            let next = self.next_event().min(target);
+            if next > self.cycle + 1 {
+                self.skip_to(next - 1);
+            }
             self.step();
         }
     }
 
-    /// Runs until the fleet cycle reaches `target` (no-op if already
-    /// there).
-    pub fn run_until(&mut self, target: u64) {
-        while self.cycle < target {
-            self.step();
+    /// The earliest cycle after the current one whose step does anything
+    /// that [`run_until`](Fleet::run_until) may not skip. Every cycle
+    /// before it is idle.
+    pub fn next_event(&self) -> u64 {
+        let now = self.cycle;
+        let mut at = self.segment.next_event();
+        for (i, s) in self.servers.iter().enumerate() {
+            if self.server_online[i] {
+                debug_assert_eq!(self.segment.rx_queued(i), 0, "server {i} left frames unread");
+                at = at.min(s.next_event());
+            }
         }
+        for c in &self.clients {
+            let nic = c.rpc.nic() as usize;
+            debug_assert_eq!(self.segment.rx_queued(nic), 0, "client {nic} left frames unread");
+            at = at.min(c.next_event(now));
+        }
+        at.max(now + 1)
+    }
+
+    /// Jumps to cycle `to` over cycles in which nothing happens. The one
+    /// thing such a cycle still changes is a counter: every online
+    /// server whose replies wait on a full TX ring re-polls it, and each
+    /// poll counts one `tx_rejected`, which the segment credits in bulk.
+    fn skip_to(&mut self, to: u64) {
+        let (servers, online) = (&self.servers, &self.server_online);
+        let stalled = (0..servers.len()).filter(|&i| online[i] && servers[i].tx_stalled());
+        self.segment.advance(to, stalled);
+        self.cycle = to;
     }
 
     /// Crashes server `i` mid-run: its NIC goes offline (rings dropped,

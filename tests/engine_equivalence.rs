@@ -1,5 +1,7 @@
-//! Differential equivalence suite: the event-driven engine versus the
-//! ticked reference engine.
+//! Differential equivalence suite: the event-driven engines versus
+//! their ticked references — the machine's `drive_events` against
+//! `drive`, and the fleet's skipping `Fleet::run_until` against a
+//! per-cycle `Fleet::step` loop.
 //!
 //! The event-driven core ([`firefly_cpu::processor::drive_events`], the
 //! default behind [`firefly::sim::EngineMode`]) skips idle spans in one
@@ -13,9 +15,13 @@
 
 use firefly::core::fault::FaultConfig;
 use firefly::core::protocol::ProtocolKind;
+use firefly::net::NetFaultConfig;
+use firefly::sim::fleet::{brownout, crash, partition, rejoin, storm, Fleet, FleetConfig};
 use firefly::sim::{EngineMode, Firefly, FireflyBuilder, Workload};
 use firefly::trace::LocalityParams;
 use firefly_core::PortId;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
 /// Serializes every statistics surface of a machine to one JSON string,
@@ -320,4 +326,241 @@ fn idle_heavy_single_cpu_run_is_identical() {
     assert_eq!(events.memory().bus_stats().total_cycles, 200_000);
     assert_eq!(stats_json(&ticked), stats_json(&events));
     assert_eq!(ticked.save_snapshot().unwrap(), events.save_snapshot().unwrap());
+}
+
+/// The seed the fleet scenarios run at in the bench bins and CI.
+const FLEET_SEED: u64 = 0x000f_1ee7;
+
+/// A scripted action applied to both fleets at a phase boundary.
+#[derive(Copy, Clone, Debug)]
+enum Act {
+    Nothing,
+    Kill(usize),
+    Revive(usize),
+}
+
+/// The reference driver: one [`Fleet::step`] per cycle.
+fn step_until(fleet: &mut Fleet, target: u64) {
+    while fleet.cycle() < target {
+        fleet.step();
+    }
+}
+
+/// Holds two fleets to the skip contract: snapshot bytes, report and
+/// stats JSON, trace, and the at-most-once oracle all identical.
+fn assert_fleets_identical(what: &str, skipped: &Fleet, stepped: &Fleet) {
+    assert_eq!(skipped.cycle(), stepped.cycle(), "{what}: cycle");
+    assert_eq!(skipped.report(), stepped.report(), "{what}: report");
+    assert_eq!(skipped.stats_json(), stepped.stats_json(), "{what}: stats JSON");
+    assert_eq!(skipped.trace(), stepped.trace(), "{what}: trace");
+    assert_eq!(skipped.check_at_most_once(), stepped.check_at_most_once(), "{what}: oracle");
+    assert!(skipped.check_at_most_once().is_empty(), "{what}: at-most-once violated");
+    assert!(skipped.save_snapshot() == stepped.save_snapshot(), "{what}: snapshot bytes differ");
+}
+
+/// Runs `cfg` under both drivers through `phases` — `(cycle, action)`:
+/// run to the cycle, compare, then apply the action to both — and
+/// returns the skipping fleet for scenario-specific checks.
+fn fleet_drivers_agree(name: &str, cfg: FleetConfig, phases: &[(u64, Act)]) -> Fleet {
+    let mut skipped = Fleet::new(cfg);
+    let mut stepped = Fleet::new(cfg);
+    for &(at, act) in phases {
+        skipped.run_until(at);
+        step_until(&mut stepped, at);
+        assert_fleets_identical(&format!("{name} @ {at}"), &skipped, &stepped);
+        for fleet in [&mut skipped, &mut stepped] {
+            match act {
+                Act::Nothing => {}
+                Act::Kill(i) => fleet.kill_server(i),
+                Act::Revive(i) => fleet.revive_server(i),
+            }
+        }
+    }
+    skipped
+}
+
+/// The phase boundaries of a scenario with no scripted actions.
+fn boundaries(cycles: &[u64]) -> Vec<(u64, Act)> {
+    cycles.iter().map(|&c| (c, Act::Nothing)).collect()
+}
+
+/// The budgeted retry storm over its whole timeline. Its servers spend
+/// long spans with replies stuck behind a full TX ring, which the skip
+/// credits as rejected enqueues instead of ticking.
+#[test]
+fn fleet_skip_matches_step_on_the_budgeted_storm() {
+    let fleet = fleet_drivers_agree(
+        "budgeted storm",
+        FleetConfig::retry_storm(FLEET_SEED, false),
+        &boundaries(&[
+            storm::BASE_FROM,
+            storm::SLOW_FROM,
+            storm::SLOW_UNTIL,
+            storm::RECOVERY_FROM,
+            storm::RECOVERY_UNTIL,
+        ]),
+    );
+    let stalled: u64 = (0..2).map(|i| fleet.server_stats(i).tx_ring_full).sum();
+    assert!(stalled > 0, "the storm must exercise the stalled-server credit");
+}
+
+/// The naive storm into its collapse: thousands of retransmissions
+/// re-polling full TX rings every `TX_RETRY_CYCLES`.
+#[test]
+fn fleet_skip_matches_step_on_the_naive_storm() {
+    let fleet = fleet_drivers_agree(
+        "naive storm",
+        FleetConfig::retry_storm(FLEET_SEED, true),
+        &boundaries(&[storm::BASE_FROM, storm::SLOW_FROM, 1_600_000]),
+    );
+    assert!(fleet.report().timeouts > 1_000, "the naive storm must be collapsing by now");
+}
+
+/// Crash failover: a server dies mid-run with calls in flight.
+#[test]
+fn fleet_skip_matches_step_across_a_kill() {
+    let fleet = fleet_drivers_agree(
+        "crash failover",
+        FleetConfig::crash_failover(FLEET_SEED),
+        &[
+            (crash::BASE_FROM, Act::Nothing),
+            (crash::KILL_AT, Act::Kill(crash::VICTIM)),
+            (crash::KILL_AT + crash::WINDOW, Act::Nothing),
+            (crash::END, Act::Nothing),
+        ],
+    );
+    assert_eq!(fleet.online_servers(), 2);
+}
+
+/// Partition heal and the flapping partition: the severed windows are
+/// read at delivery time, so they must land on the same cycles.
+#[test]
+fn fleet_skip_matches_step_through_partitions() {
+    let mid_split = partition::SPLIT_FROM + (partition::SPLIT_UNTIL - partition::SPLIT_FROM) / 2;
+    fleet_drivers_agree(
+        "partition heal",
+        FleetConfig::partition_heal(FLEET_SEED, true),
+        &boundaries(&[
+            partition::BASE_FROM,
+            partition::SPLIT_FROM,
+            mid_split,
+            partition::SPLIT_UNTIL,
+            partition::END,
+        ]),
+    );
+    let mut flaps = vec![partition::BASE_FROM];
+    for k in 0..partition::FLAPS as u64 {
+        let from = partition::SPLIT_FROM + k * (partition::FLAP_SEVERED + partition::FLAP_HEALED);
+        flaps.extend([from, from + partition::FLAP_SEVERED]);
+    }
+    flaps.push(partition::END);
+    fleet_drivers_agree(
+        "flapping partition",
+        FleetConfig::flapping_partition(FLEET_SEED),
+        &boundaries(&flaps),
+    );
+}
+
+/// Kill then revive: the revived server restarts cold under a new
+/// epoch and bounces stale requests.
+#[test]
+fn fleet_skip_matches_step_across_kill_and_revive() {
+    let fleet = fleet_drivers_agree(
+        "rejoin",
+        FleetConfig::rejoin_after_crash(FLEET_SEED),
+        &[
+            (rejoin::BASE_FROM, Act::Nothing),
+            (rejoin::KILL_AT, Act::Kill(rejoin::VICTIM)),
+            (rejoin::REVIVE_AT, Act::Revive(rejoin::VICTIM)),
+            (rejoin::REVIVE_AT + rejoin::WINDOW, Act::Nothing),
+            (rejoin::END, Act::Nothing),
+        ],
+    );
+    assert_eq!(fleet.server_epoch(rejoin::VICTIM), 1);
+}
+
+/// Brownout with the admission controller on (explicit `Shed` replies)
+/// and off (silent queue drops).
+#[test]
+fn fleet_skip_matches_step_under_brownout() {
+    for shedding in [true, false] {
+        fleet_drivers_agree(
+            &format!("brownout shedding={shedding}"),
+            FleetConfig::brownout_overload(FLEET_SEED, shedding),
+            &boundaries(&[brownout::BASE_FROM, brownout::END]),
+        );
+    }
+}
+
+/// `run_until` and `run` called with chunk ends drawn from a seeded RNG
+/// — bursts of one- to three-cycle hops, short hops and long spans —
+/// must land exactly where the per-cycle loop does. This catches
+/// off-by-ones where the skip is capped at the target, and the bursts
+/// query the horizon on the cycle just before an event. Every wire
+/// fault class is on, so duplicated, corrupted and reordered frames
+/// (released from the segment's delay queue) cross chunk boundaries
+/// too.
+#[test]
+fn fleet_skip_matches_step_at_random_chunk_boundaries() {
+    let mut cfg = FleetConfig::retry_storm(7, false);
+    cfg.faults = NetFaultConfig::lossy(0x0dd5, 20_000);
+    let mut skipped = Fleet::new(cfg);
+    let mut stepped = Fleet::new(cfg);
+    let mut rng = SmallRng::seed_from_u64(0xc4a2_7e11);
+    let mut chunk = 0;
+    while skipped.cycle() < storm::SLOW_FROM + 200_000 {
+        let (hops, max_len) = match rng.gen_range(0..4u32) {
+            0 => (5_000, 4),
+            1 => (1, 700),
+            2 => (1, 20_000),
+            _ => (1, 150_000),
+        };
+        let mut target = skipped.cycle();
+        for hop in 0..hops {
+            let len = rng.gen_range(1..max_len);
+            target += len;
+            if (chunk + hop) % 2 == 0 {
+                skipped.run_until(target);
+            } else {
+                skipped.run(len);
+            }
+            assert_eq!(skipped.cycle(), target, "chunk {chunk} hop {hop} missed its target");
+        }
+        step_until(&mut stepped, target);
+        assert_eq!(skipped.stats_json(), stepped.stats_json(), "chunk {chunk} ending at {target}");
+        assert_eq!(skipped.segment_stats(), stepped.segment_stats(), "chunk {chunk}");
+        chunk += 1;
+    }
+    assert!(chunk > 50, "only {chunk} chunks");
+    assert!(skipped.segment_stats().fault_reorders > 0, "no reordered frames exercised");
+    assert_fleets_identical("random chunks", &skipped, &stepped);
+}
+
+/// A snapshot cut in the middle of an idle span — neither on an event
+/// nor on the cycle before one — resumes identically under either
+/// driver and matches the uninterrupted fleet.
+#[test]
+fn fleet_snapshot_mid_idle_span_resumes_under_either_driver() {
+    let cfg = FleetConfig::crash_failover(FLEET_SEED);
+    let end = crash::KILL_AT;
+    let mut original = Fleet::new(cfg);
+    original.run_until(crash::BASE_FROM);
+    while original.next_event() < original.cycle() + 1_000 {
+        original.step();
+    }
+    let (now, next) = (original.cycle(), original.next_event());
+    original.run_until(now + (next - now) / 2);
+    assert!(original.next_event() == next && next > original.cycle() + 1, "not mid-span");
+    let snap = original.save_snapshot();
+
+    let mut skipped = Fleet::new(cfg);
+    skipped.load_snapshot(&snap).unwrap();
+    let mut stepped = Fleet::new(cfg);
+    stepped.load_snapshot(&snap).unwrap();
+    assert_eq!(skipped.next_event(), next, "the event horizon is derived, not stored");
+    original.run_until(end);
+    skipped.run_until(end);
+    step_until(&mut stepped, end);
+    assert_fleets_identical("resumed, skipping", &skipped, &stepped);
+    assert_fleets_identical("uninterrupted vs resumed", &original, &stepped);
 }
