@@ -91,6 +91,18 @@ if [ "$a" != "$b" ]; then
     exit 1
 fi
 
+echo "== model_check determinism gate (bit-identical across widths)"
+for args in "--smoke --json" "--protocol tardis --smoke --json"; do
+    # shellcheck disable=SC2086 # $args is a flag list
+    a="$(FIREFLY_JOBS=1 cargo run --release -q -p firefly-bench --bin model_check -- $args)"
+    # shellcheck disable=SC2086
+    b="$(FIREFLY_JOBS=4 cargo run --release -q -p firefly-bench --bin model_check -- $args)"
+    if [ "$a" != "$b" ]; then
+        echo "model_check $args differs between FIREFLY_JOBS=1 and 4" >&2
+        exit 1
+    fi
+done
+
 echo "== trace smoke: protocol_compare --smoke --trace + trace_check"
 trace_file="$(mktemp /tmp/firefly-trace.XXXXXX.json)"
 trap 'rm -f "$trace_file"' EXIT

@@ -202,6 +202,10 @@ pub trait ArbiterPolicy: std::fmt::Debug + Send {
     /// Observes a grant (rotating policies advance their state here).
     fn note_grant(&mut self, _port: PortId) {}
 
+    /// A boxed copy carrying the same dynamic state (see
+    /// [`MemSystem::fork`](crate::system::MemSystem::fork)).
+    fn clone_box(&self) -> Box<dyn ArbiterPolicy>;
+
     /// Serializes the policy's dynamic state (most policies are
     /// stateless; round-robin carries its rotation point).
     fn save_state(&self, _w: &mut SnapWriter) {}
@@ -217,12 +221,16 @@ pub trait ArbiterPolicy: std::fmt::Debug + Send {
 }
 
 /// Lowest raised port wins — the paper's hardware.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct FixedPriority;
 
 impl ArbiterPolicy for FixedPriority {
     fn kind(&self) -> ArbiterKind {
         ArbiterKind::FixedPriority
+    }
+
+    fn clone_box(&self) -> Box<dyn ArbiterPolicy> {
+        Box::new(self.clone())
     }
 
     fn pick(&self, requests: &[Option<u64>], _now: u64) -> Option<PortId> {
@@ -231,12 +239,16 @@ impl ArbiterPolicy for FixedPriority {
 }
 
 /// Longest-raised request wins; ties go to the lower port.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Fcfs;
 
 impl ArbiterPolicy for Fcfs {
     fn kind(&self) -> ArbiterKind {
         ArbiterKind::Fcfs
+    }
+
+    fn clone_box(&self) -> Box<dyn ArbiterPolicy> {
+        Box::new(self.clone())
     }
 
     fn pick(&self, requests: &[Option<u64>], _now: u64) -> Option<PortId> {
@@ -250,7 +262,7 @@ impl ArbiterPolicy for Fcfs {
 }
 
 /// Rotating priority: the scan starts just past the last grantee.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct RoundRobin {
     last_granted: Option<usize>,
 }
@@ -258,6 +270,10 @@ struct RoundRobin {
 impl ArbiterPolicy for RoundRobin {
     fn kind(&self) -> ArbiterKind {
         ArbiterKind::RoundRobin
+    }
+
+    fn clone_box(&self) -> Box<dyn ArbiterPolicy> {
+        Box::new(self.clone())
     }
 
     fn pick(&self, requests: &[Option<u64>], _now: u64) -> Option<PortId> {
@@ -297,12 +313,16 @@ impl ArbiterPolicy for RoundRobin {
 /// Index priority demoted by waiting: `port − waited/AGING_QUANTUM`,
 /// minimum wins, ties to the lower port. Every wait is bounded: after
 /// `(ports−1) × AGING_QUANTUM` cycles a request out-ranks any fresh one.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Aging;
 
 impl ArbiterPolicy for Aging {
     fn kind(&self) -> ArbiterKind {
         ArbiterKind::Aging
+    }
+
+    fn clone_box(&self) -> Box<dyn ArbiterPolicy> {
+        Box::new(self.clone())
     }
 
     fn pick(&self, requests: &[Option<u64>], now: u64) -> Option<PortId> {
@@ -322,12 +342,16 @@ impl ArbiterPolicy for Aging {
 
 /// The highest port (the I/O processor's cache) always wins; the rest
 /// are served FCFS.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct IoFavoring;
 
 impl ArbiterPolicy for IoFavoring {
     fn kind(&self) -> ArbiterKind {
         ArbiterKind::IoFavoring
+    }
+
+    fn clone_box(&self) -> Box<dyn ArbiterPolicy> {
+        Box::new(self.clone())
     }
 
     fn pick(&self, requests: &[Option<u64>], _now: u64) -> Option<PortId> {

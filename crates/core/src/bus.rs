@@ -299,6 +299,19 @@ pub struct Bus {
     log: Option<Vec<TransactionRecord>>,
 }
 
+impl Clone for Bus {
+    fn clone(&self) -> Self {
+        Bus {
+            requests: self.requests.clone(),
+            slots: self.slots.clone(),
+            mode: self.mode,
+            arbiter: self.arbiter.clone_box(),
+            stats: self.stats,
+            log: self.log.clone(),
+        }
+    }
+}
+
 impl Bus {
     /// Creates a bus with `ports` request lines; `trace` enables the
     /// event log. Uses the paper's fixed-priority arbiter and the

@@ -165,6 +165,7 @@ struct Slot {
 /// assert_eq!(c.state_of(line), LineState::CleanExclusive);
 /// assert_eq!(c.read_word(Addr::new(0x40)), Some(5));
 /// ```
+#[derive(Clone)]
 pub struct Cache {
     geometry: CacheGeometry,
     slots: Vec<Slot>,

@@ -35,6 +35,7 @@ const PAGE_WORDS: usize = 1024;
 /// mem.write_word(a, 0xdead_beef);
 /// assert_eq!(mem.read_word(a), 0xdead_beef);
 /// ```
+#[derive(Clone)]
 pub struct Memory {
     bytes: u64,
     module_bytes: u64,

@@ -134,7 +134,7 @@ enum Status {
     Finishing { at: u64 },
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Pending {
     req: Request,
     issued: u64,
@@ -153,6 +153,7 @@ struct Pending {
     status: Status,
 }
 
+#[derive(Clone)]
 struct PortCtl {
     cache: Cache,
     pending: Option<Pending>,
@@ -161,7 +162,7 @@ struct PortCtl {
 /// Controller-side context for one in-flight bus transaction. Kept in a
 /// queue aligned oldest-first with [`Bus::slots`]: in unified mode it
 /// holds at most one entry; in split mode, one per pipelined slot.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct TxnCtx {
     /// The arbitration (address) cycle — stamps the event trace and the
     /// Figure 4 log.
@@ -177,6 +178,7 @@ struct TxnCtx {
 /// The bus- and cache-side fault sites. Memory-side ECC lives inside
 /// [`Memory`]; device faults live in the I/O crate. Present only when
 /// the configured [`FaultConfig`] enables at least one class.
+#[derive(Clone)]
 struct BusFaults {
     cfg: FaultConfig,
     arbiter: FaultSite,
@@ -1208,7 +1210,50 @@ impl MemSystem {
         }
     }
 
-    // ---- checkpoint / restore -------------------------------------------
+    // ---- fork / checkpoint / restore ------------------------------------
+
+    /// An independent copy of this system, driving `tables` as its
+    /// protocol decision tables.
+    ///
+    /// Everything else — caches, bus and arbiter state, in-flight
+    /// transactions, memory image, fault-site RNG positions, statistics,
+    /// histograms and the event ring — is copied, so the fork and the
+    /// original step forward bit-identically and share no state. The
+    /// caller supplies the tables (as with
+    /// [`with_protocol`](Self::with_protocol)) because a verification
+    /// harness may wrap them; pass `protocol_kind().build()` for the
+    /// canonical ones. Unlike a [`save_snapshot`](Self::save_snapshot) /
+    /// [`restore`](Self::restore) round trip, a fork neither serializes
+    /// nor rebuilds the canonical tables.
+    pub fn fork(&self, tables: Box<dyn Protocol>) -> MemSystem {
+        // An exhaustive literal: a new field fails to compile until it
+        // is copied here.
+        MemSystem {
+            cfg: self.cfg.clone(),
+            protocol: tables,
+            protocol_kind: self.protocol_kind,
+            ports: self.ports.clone(),
+            bus: self.bus.clone(),
+            memory: self.memory.clone(),
+            cycle: self.cycle,
+            txns: self.txns.clone(),
+            ipi_pending: self.ipi_pending.clone(),
+            ipi_sent: self.ipi_sent,
+            faults: self.faults.clone(),
+            offline: self.offline.clone(),
+            has_offline: self.has_offline,
+            fstats: self.fstats,
+            fault_errors: self.fault_errors.clone(),
+            deferred: self.deferred.clone(),
+            purge_queue: self.purge_queue.clone(),
+            events: self.events.clone(),
+            lat: self.lat,
+            watchdog: self.watchdog,
+            wd_trips: self.wd_trips,
+            pts: self.pts.clone(),
+            mem_ts: self.mem_ts.clone(),
+        }
+    }
 
     /// Serializes the complete machine state into a versioned snapshot.
     ///

@@ -15,11 +15,12 @@
 //! States are hash-consed by their observable footprint (per-cache
 //! resident lines with state and data, plus the tracked memory words);
 //! anything that re-derives from the footprint — cycle counters,
-//! statistics — is deliberately excluded so the BFS closes. Because
-//! `MemSystem` is not `Clone`, a state is *represented* by its shortest
-//! op path from reset and expansion replays that path; at model-checking
-//! scale (2–3 caches, 1–2 words) a replay is a few hundred bus cycles
-//! and the whole space closes in well under a second.
+//! statistics — is deliberately excluded so the BFS closes. A state is
+//! *represented* by its shortest op path from reset. Expansion replays
+//! that path once, then tries each op of the alphabet on a
+//! [fork](MemSystem::fork) of the replayed engine, so a state costs one
+//! replay rather than one per op; at model-checking scale (2–3 caches,
+//! 1–2 words) a replay is a few hundred bus cycles.
 //!
 //! Each BFS level fans its expansions out on the deterministic worker
 //! pool ([`firefly_sim::harness::run_jobs`]); results are merged in job
@@ -38,11 +39,14 @@ use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Builds a fresh set of protocol tables for every engine rebuild.
+/// Builds a fresh set of protocol tables for every engine.
 ///
-/// The explorer reconstructs the engine once per expansion, so table
-/// instances cannot be shared; the mutation pass uses this to hand the
-/// engine recorded or deliberately corrupted tables.
+/// The explorer calls it once for the reset state, then once per
+/// transition: each expansion builds one engine for its prefix replay
+/// and one per fork, and the last op runs on the replayed engine itself.
+/// Table instances are never shared between engines; the mutation pass
+/// uses this to hand the engine recorded or deliberately corrupted
+/// tables.
 pub type ProtocolFactory<'a> = &'a (dyn Fn() -> Box<dyn Protocol> + Sync);
 
 /// One model-checking operation: a processor access to a tracked word.
@@ -264,27 +268,27 @@ pub struct McReport {
 /// path leads to, or the first invariant violation along it.
 type StepResult = Result<StateKey, String>;
 
-/// A state's observable footprint, canonicalized for hash-consing.
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct StateKey {
-    /// Per port: resident lines as `(line, state index, data words)`,
-    /// sorted by line id.
-    ports: Vec<Vec<(u32, u8, Vec<u32>)>>,
-    /// The tracked memory words.
-    memory: Vec<u32>,
-    /// The timestamp footprint (Tardis only; empty otherwise): program
-    /// timestamps, global `(wts, rts)` pairs of the tracked lines, and
-    /// the `(wts, rts)` pairs of every resident copy, in that order.
-    ///
-    /// Raw timestamps grow without bound, so they are *abstracted*:
-    /// shifted down by their minimum and clamped at `lease + 4`. The
-    /// protocol's timestamp rules only compare values at most a lease
-    /// apart (serve if `pts <= rts`; grant `max(rts, pts + lease)`;
-    /// order writes at `max(pts, rts + 1)`), so gaps beyond the clamp
-    /// behave identically and the BFS closes. The abstraction only
-    /// merges exploration — every visited state is still fully checked.
-    ts: Vec<u64>,
-}
+/// A state's observable footprint, canonicalized for hash-consing, as
+/// one flat length-prefixed word string:
+///
+/// * per port: the resident-line count, then `(line, state index, word
+///   count, data words…)` per resident line, sorted by line id;
+/// * the tracked memory words;
+/// * the timestamp footprint (Tardis only; empty otherwise): program
+///   timestamps, global `(wts, rts)` pairs of the tracked lines, and the
+///   `(wts, rts)` pairs of every resident copy, in that order.
+///
+/// Every variable-length run is preceded by its length or fixed by the
+/// configuration, so distinct footprints never encode alike.
+///
+/// Raw timestamps grow without bound, so they are *abstracted*: shifted
+/// down by their minimum and clamped at `lease + 4`. The protocol's
+/// timestamp rules only compare values at most a lease apart (serve if
+/// `pts <= rts`; grant `max(rts, pts + lease)`; order writes at
+/// `max(pts, rts + 1)`), so gaps beyond the clamp behave identically and
+/// the BFS closes. The abstraction only merges exploration — every
+/// visited state is still fully checked.
+type StateKey = Box<[u64]>;
 
 fn state_index(s: firefly_core::protocol::LineState) -> u8 {
     firefly_core::protocol::LineState::ALL
@@ -294,53 +298,56 @@ fn state_index(s: firefly_core::protocol::LineState) -> u8 {
 }
 
 fn state_key(cfg: &McConfig, sys: &MemSystem) -> StateKey {
-    let mut ports = Vec::with_capacity(cfg.caches);
+    let mut key: Vec<u64> = Vec::with_capacity(32);
     for p in 0..cfg.caches {
-        let mut resident: Vec<(u32, u8, Vec<u32>)> = sys
-            .resident_lines(PortId::new(p))
-            .into_iter()
-            .map(|(line, state, data)| (line.raw(), state_index(state), data.as_slice().to_vec()))
-            .collect();
-        resident.sort_unstable();
-        ports.push(resident);
+        let mut resident = sys.resident_lines(PortId::new(p));
+        resident.sort_unstable_by_key(|&(line, _, _)| line.raw());
+        key.push(resident.len() as u64);
+        for (line, state, data) in &resident {
+            let words = data.as_slice();
+            key.extend([u64::from(line.raw()), u64::from(state_index(*state)), words.len() as u64]);
+            key.extend(words.iter().map(|&w| u64::from(w)));
+        }
     }
-    let memory = (0..cfg.words).map(|w| sys.peek_memory_word(Addr::from_word_index(w))).collect();
-    let mut ts: Vec<u64> = Vec::new();
+    key.extend((0..cfg.words).map(|w| u64::from(sys.peek_memory_word(Addr::from_word_index(w)))));
     if let Some(lease) = sys.ts_lease() {
+        let ts_start = key.len();
         for p in 0..cfg.caches {
-            ts.push(sys.tardis_pts(PortId::new(p)));
+            key.push(sys.tardis_pts(PortId::new(p)));
         }
         for line in tracked_lines(cfg) {
             let (wts, rts) = sys.tardis_global_ts(line);
-            ts.push(wts);
-            ts.push(rts);
+            key.extend([wts, rts]);
         }
-        // Residency itself is already in `ports`, so conditional
+        // Residency itself is already in the port runs, so conditional
         // inclusion here cannot make distinct states collide.
         for p in 0..cfg.caches {
             for line in tracked_lines(cfg) {
                 if let Some((wts, rts)) = sys.tardis_line_ts(PortId::new(p), line) {
-                    ts.push(wts);
-                    ts.push(rts);
+                    key.extend([wts, rts]);
                 }
             }
         }
+        let ts = &mut key[ts_start..];
         let min = ts.iter().copied().min().unwrap_or(0);
         let cap = lease.saturating_add(4);
-        for t in &mut ts {
+        for t in ts {
             *t = (*t - min).min(cap);
         }
     }
-    StateKey { ports, memory, ts }
+    key.into_boxed_slice()
+}
+
+/// A fresh set of decision tables: the factory's, or the canonical ones.
+fn tables(cfg: &McConfig, factory: Option<ProtocolFactory<'_>>) -> Box<dyn Protocol> {
+    match factory {
+        Some(f) => f(),
+        None => cfg.base_tables(),
+    }
 }
 
 fn build_system(cfg: &McConfig, factory: Option<ProtocolFactory<'_>>) -> MemSystem {
-    let syscfg = cfg.system_config();
-    let tables = match factory {
-        Some(f) => f(),
-        None => cfg.base_tables(),
-    };
-    MemSystem::with_protocol(syscfg, cfg.protocol, tables)
+    MemSystem::with_protocol(cfg.system_config(), cfg.protocol, tables(cfg, factory))
         .expect("model-checking configuration is valid")
 }
 
@@ -438,40 +445,55 @@ pub fn replay_violation(
     }
 }
 
-/// Expands one state (represented by its path): replays the path, then
-/// tries every op in the alphabet, reporting each successor's key or
-/// the violation it triggers. One rebuild per op keeps each trial
-/// independent — a violating op must not poison its siblings.
+/// Expands one state (represented by its path): replays the path once,
+/// then tries every op in the alphabet on a [fork](MemSystem::fork) of
+/// the replayed engine, reporting each successor's key or the violation
+/// it triggers. Each trial runs on its own engine — a violating op must
+/// not poison its siblings — and the last runs on the replayed engine
+/// itself, so every transition builds exactly one set of tables.
 fn expand(cfg: &McConfig, factory: Option<ProtocolFactory<'_>>, path: &[McOp]) -> Vec<StepResult> {
+    let checker = CoherenceChecker::new();
+    let mut prefix = catch_unwind(AssertUnwindSafe(|| {
+        let mut sys = build_system(cfg, factory);
+        let mut oracle = BTreeMap::new();
+        for &prev in path {
+            // The prefix was validated when its own state was
+            // discovered; only the new op needs checking.
+            apply(&mut sys, &mut oracle, prev);
+        }
+        (sys, oracle)
+    }))
+    .ok();
     let alphabet = cfg.alphabet();
+    let last = alphabet.len() - 1;
     alphabet
         .iter()
-        .map(|&op| {
-            let mut trial: Vec<McOp> = path.to_vec();
-            trial.push(op);
-            let key = catch_unwind(AssertUnwindSafe(|| {
-                let mut sys = build_system(cfg, factory);
-                let mut oracle = BTreeMap::new();
-                let checker = CoherenceChecker::new();
-                for &prev in path {
-                    // The prefix was validated when its own state was
-                    // discovered; only the new op needs checking.
-                    apply(&mut sys, &mut oracle, prev);
-                }
-                match apply_checked(&mut sys, &mut oracle, &checker, op) {
-                    Some(v) => Err(v),
-                    None => Ok(state_key(cfg, &sys)),
-                }
-            }));
-            match key {
-                Ok(r) => r,
-                Err(_) => {
-                    // Re-derive the panic message with full checking so
-                    // the report points at the first broken step.
-                    Err(replay_violation(cfg, factory, &trial)
-                        .unwrap_or_else(|| "engine panic during expansion".to_string()))
-                }
-            }
+        .enumerate()
+        .map(|(i, &op)| {
+            let outcome = prefix.as_mut().and_then(|(sys, oracle)| {
+                catch_unwind(AssertUnwindSafe(|| {
+                    let step = |sys: &mut MemSystem, oracle: &mut BTreeMap<Addr, u32>| {
+                        match apply_checked(sys, oracle, &checker, op) {
+                            Some(v) => Err(v),
+                            None => Ok(state_key(cfg, sys)),
+                        }
+                    };
+                    if i == last {
+                        step(sys, oracle)
+                    } else {
+                        step(&mut sys.fork(tables(cfg, factory)), &mut oracle.clone())
+                    }
+                }))
+                .ok()
+            });
+            outcome.unwrap_or_else(|| {
+                // Re-derive the panic message with full checking so the
+                // report points at the first broken step.
+                let mut trial: Vec<McOp> = path.to_vec();
+                trial.push(op);
+                Err(replay_violation(cfg, factory, &trial)
+                    .unwrap_or_else(|| "engine panic during expansion".to_string()))
+            })
         })
         .collect()
 }
@@ -552,7 +574,7 @@ pub fn explore_workers(
         });
 
         let mut next: Vec<Vec<McOp>> = Vec::new();
-        for (path, results) in frontier.iter().zip(&expansions) {
+        for (path, results) in frontier.iter().zip(expansions) {
             for (op, outcome) in alphabet.iter().zip(results) {
                 report.transitions += 1;
                 match outcome {
@@ -560,11 +582,11 @@ pub fn explore_workers(
                         let mut raw = path.clone();
                         raw.push(*op);
                         report.depth_reached = level + 1;
-                        report.violation = Some(minimize(cfg, factory, raw, message.clone()));
+                        report.violation = Some(minimize(cfg, factory, raw, message));
                         return report;
                     }
                     Ok(key) => {
-                        if seen.insert(key.clone()) {
+                        if seen.insert(key) {
                             report.states += 1;
                             let mut extended = path.clone();
                             extended.push(*op);
@@ -658,11 +680,7 @@ pub fn counterexample(
     violation: &McViolation,
 ) -> Counterexample {
     let syscfg = cfg.system_config().with_event_trace(65_536);
-    let tables = match factory {
-        Some(f) => f(),
-        None => cfg.base_tables(),
-    };
-    let mut sys = MemSystem::with_protocol(syscfg, cfg.protocol, tables)
+    let mut sys = MemSystem::with_protocol(syscfg, cfg.protocol, tables(cfg, factory))
         .expect("model-checking configuration is valid");
 
     let mut oracle = BTreeMap::new();
