@@ -103,6 +103,19 @@ for args in "--smoke --json" "--protocol tardis --smoke --json"; do
     fi
 done
 
+echo "== engine byte-identity gate (ticked reference vs event engine)"
+# The degradation cell of fault_sweep takes CPUs offline mid-run, so this
+# also covers the event engine's handling of a processor frozen while it
+# waits on the bus.
+for bin in protocol_compare fault_sweep; do
+    a="$(FIREFLY_ENGINE=ticked cargo run --release -q -p firefly-bench --bin "$bin" -- --smoke --json)"
+    b="$(FIREFLY_ENGINE=events cargo run --release -q -p firefly-bench --bin "$bin" -- --smoke --json)"
+    if [ "$a" != "$b" ]; then
+        echo "$bin --smoke --json differs between FIREFLY_ENGINE=ticked and events" >&2
+        exit 1
+    fi
+done
+
 echo "== trace smoke: protocol_compare --smoke --trace + trace_check"
 trace_file="$(mktemp /tmp/firefly-trace.XXXXXX.json)"
 trap 'rm -f "$trace_file"' EXIT

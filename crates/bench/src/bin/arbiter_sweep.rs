@@ -18,7 +18,7 @@
 //!    paper-mix 4-CPU machine, where the bus is busy most cycles, timed
 //!    on the ticked vs the event engine. The event engine must be at
 //!    least 1.0× (it used to be ~0.7× before busy spans were run as a
-//!    straight ticked micro-loop inside `drive_events`).
+//!    batched micro-loop inside `drive_events`).
 //!
 //! Flags: `--smoke` (CI sizing), `--seed N`, `--out PATH` (default
 //! `BENCH_8.json`), `--json`. The `--json` document carries **only

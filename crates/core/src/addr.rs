@@ -130,7 +130,7 @@ impl LineId {
     /// Panics if `line_words` is not a power of two.
     pub fn containing(addr: Addr, line_words: usize) -> Self {
         assert!(line_words.is_power_of_two(), "line_words must be a power of two");
-        LineId(addr.word_index() / line_words as u32)
+        LineId(addr.word_index() >> line_words.trailing_zeros())
     }
 
     /// Constructs a line id from its raw number.
@@ -155,7 +155,7 @@ impl LineId {
     /// Panics (in debug builds) if `addr` does not fall inside this line.
     pub fn word_offset(self, addr: Addr, line_words: usize) -> usize {
         debug_assert_eq!(LineId::containing(addr, line_words), self);
-        (addr.word_index() as usize) % line_words
+        (addr.word_index() as usize) & (line_words - 1)
     }
 }
 
@@ -234,6 +234,30 @@ impl fmt::Display for PortId {
     }
 }
 
+/// A set of bus ports, with room for every value a [`PortId`] can hold.
+#[derive(Copy, Clone, Default, PartialEq, Eq, Debug)]
+pub struct PortSet([u64; 4]);
+
+impl PortSet {
+    /// Adds the port with index `port`.
+    #[inline]
+    pub(crate) fn insert(&mut self, port: usize) {
+        self.0[port >> 6] |= 1 << (port & 63);
+    }
+
+    /// Whether the set holds no port.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.0 == [0; 4]
+    }
+
+    /// Whether `port` is in the set.
+    #[inline]
+    pub fn contains(&self, port: PortId) -> bool {
+        self.0[port.index() >> 6] & (1 << (port.index() & 63)) != 0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,6 +319,18 @@ mod tests {
     #[should_panic(expected = "at most 16")]
     fn port_bounds() {
         let _ = PortId::new(16);
+    }
+
+    #[test]
+    fn port_set_holds_every_port_id_value() {
+        let mut set = PortSet::default();
+        assert!(set.is_empty());
+        for i in [0usize, 15, 63, 64, 255] {
+            set.insert(i);
+        }
+        assert!(!set.is_empty());
+        assert!(set.contains(PortId(0)) && set.contains(PortId(15)) && set.contains(PortId(255)));
+        assert!(!set.contains(PortId(1)) && !set.contains(PortId(254)));
     }
 
     #[test]

@@ -89,13 +89,17 @@ impl CacheGeometry {
     }
 
     /// The cache set index for a line (direct mapped: line id modulo lines).
+    #[inline]
     pub fn index_of(&self, line: crate::LineId) -> usize {
-        (line.raw() as usize) % self.lines
+        // `lines` is a power of two by construction, so the modulo is a
+        // mask.
+        (line.raw() as usize) & (self.lines - 1)
     }
 
     /// The tag stored for a line (the line id divided by the line count).
+    #[inline]
     pub fn tag_of(&self, line: crate::LineId) -> u32 {
-        line.raw() / self.lines as u32
+        line.raw() >> self.lines.trailing_zeros()
     }
 
     /// Reconstructs a line id from an index and tag.
@@ -467,6 +471,28 @@ mod tests {
             let idx = g.index_of(line);
             let tag = g.tag_of(line);
             assert_eq!(g.line_from(idx, tag), line);
+        }
+    }
+
+    /// The mask-and-shift forms equal the division they replace, for
+    /// every line count and line length a geometry accepts.
+    #[test]
+    fn mask_and_shift_match_division() {
+        use crate::Addr;
+        let words = [0u32, 1, 2, 3, 7, 255, 4096, 65_537, 0x3fff_fffe, u32::MAX >> 2];
+        for lines in (0..32).map(|k| 1usize << k) {
+            for line_words in (0..).map(|k| 1usize << k).take_while(|&w| w <= MAX_LINE_WORDS) {
+                let g = CacheGeometry::new(lines, line_words).unwrap();
+                for &w in &words {
+                    let line = LineId::from_raw(w);
+                    assert_eq!(g.index_of(line), w as usize % lines);
+                    assert_eq!(g.tag_of(line), w / lines as u32);
+                    let addr = Addr::from_word_index(w);
+                    let id = LineId::containing(addr, line_words);
+                    assert_eq!(id.raw(), w / line_words as u32);
+                    assert_eq!(id.word_offset(addr, line_words), w as usize % line_words);
+                }
+            }
         }
     }
 

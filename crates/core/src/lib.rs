@@ -97,7 +97,7 @@ pub mod snapshot;
 pub mod stats;
 pub mod system;
 
-pub use addr::{Addr, LineId, PortId};
+pub use addr::{Addr, LineId, PortId, PortSet};
 pub use arbiter::{ArbiterKind, BusMode};
 pub use config::{CacheGeometry, MachineVariant, SystemConfig};
 pub use error::Error;

@@ -53,9 +53,12 @@ pub const SNAPSHOT_VERSION: u32 = 4;
 /// The four magic bytes at the start of every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"FFSN";
 
-/// Builds the CRC-32 (IEEE 802.3, reflected) lookup table at compile time.
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Builds the CRC-32 (IEEE 802.3, reflected) slice-by-8 lookup tables
+/// at compile time. `table[0]` is the classic bytewise table; `table[k]`
+/// advances a byte's contribution past `k` further zero bytes, so eight
+/// lookups fold in eight input bytes at once.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut table = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -64,19 +67,42 @@ const fn crc32_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        table[0][i] = c;
         i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let c = table[k - 1][i];
+            table[k][i] = table[0][(c & 0xff) as usize] ^ (c >> 8);
+            i += 1;
+        }
+        k += 1;
     }
     table
 }
 
-const CRC_TABLE: [u32; 256] = crc32_table();
+const CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC-32 (IEEE) of `bytes`, as used for the snapshot trailer.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xffff_ffffu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for b in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][usize::from(b[4])]
+            ^ t[2][usize::from(b[5])]
+            ^ t[1][usize::from(b[6])]
+            ^ t[0][usize::from(b[7])];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -519,5 +545,30 @@ mod tests {
     fn crc32_known_answer() {
         // The classic IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+    }
+
+    /// The slice-by-8 CRC equals the bytewise table loop on every length
+    /// class and at every start offset modulo 8.
+    #[test]
+    fn crc32_matches_the_bytewise_loop() {
+        fn bytewise(bytes: &[u8]) -> u32 {
+            let mut c = 0xffff_ffffu32;
+            for &b in bytes {
+                c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
+            }
+            !c
+        }
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0xc3c3);
+        let data: Vec<u8> = (0..4096 + 8).map(|_| rng.gen::<u32>() as u8).collect();
+        for offset in 0..8 {
+            let mut lens: Vec<usize> = (0..40).map(|_| rng.gen_range(0..=4096)).collect();
+            lens.extend([0, 1, 7, 8, 9, 4096]);
+            for len in lens {
+                let slice = &data[offset..offset + len];
+                assert_eq!(crc32(slice), bytewise(slice), "length {len} at offset {offset}");
+            }
+        }
     }
 }

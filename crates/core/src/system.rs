@@ -15,7 +15,7 @@
 //! transaction's probe cycle is delayed by one CPU tick (the `SP` term of
 //! the paper's performance model, §5.2).
 
-use crate::addr::{Addr, LineId, PortId};
+use crate::addr::{Addr, LineId, PortId, PortSet};
 use crate::bus::{Bus, DataSource, Payload, Transaction, TransactionRecord};
 use crate::cache::{Cache, LineData};
 use crate::config::SystemConfig;
@@ -256,6 +256,10 @@ pub struct MemSystem {
     /// (implicitly `(0, 0)`), keeping the map as sparse as the memory
     /// image.
     mem_ts: std::collections::BTreeMap<u32, (u64, u64)>,
+    /// Ports whose completion cycle became known or moved, or that went
+    /// offline, since the last [`take_woken`](MemSystem::take_woken).
+    /// Transient driver state: forked, but not snapshotted.
+    woken: PortSet,
 }
 
 /// Pushes an event into the ring when tracing is enabled. A free
@@ -336,6 +340,7 @@ impl MemSystem {
             txns: std::collections::VecDeque::new(),
             watchdog: None,
             wd_trips: 0,
+            woken: PortSet::default(),
         })
     }
 
@@ -742,6 +747,23 @@ impl MemSystem {
         }
     }
 
+    /// Takes the set of ports whose [`completion_cycle`](Self::completion_cycle)
+    /// became known or moved later, or that were taken offline, since the
+    /// last call, and empties it.
+    ///
+    /// This is how an event-driven driver learns when a processor that
+    /// waits on the bus can next make progress, without polling it every
+    /// cycle. The set is not part of a snapshot: a driver reads the
+    /// completion cycles from state when it starts.
+    #[inline]
+    pub fn take_woken(&mut self) -> PortSet {
+        let woken = self.woken;
+        if !woken.is_empty() {
+            self.woken = PortSet::default();
+        }
+        woken
+    }
+
     /// Advances an idle system by `n` cycles in one jump: exactly the
     /// state change of `n` consecutive [`step`](MemSystem::step) calls
     /// while [`is_idle`](MemSystem::is_idle) holds — the cycle counter
@@ -1097,6 +1119,7 @@ impl MemSystem {
             self.offline[port.index()] = true;
             self.has_offline = true;
             self.fstats.cpus_offlined += 1;
+            self.woken.insert(port.index());
             emit_into(&mut self.events, self.cycle, EventKind::CpuOffline { port });
             // The port leaves the coherence domain: written-back owners
             // keep their data reachable, everything else is dropped (in
@@ -1252,6 +1275,7 @@ impl MemSystem {
             wd_trips: self.wd_trips,
             pts: self.pts.clone(),
             mem_ts: self.mem_ts.clone(),
+            woken: self.woken,
         }
     }
 
@@ -1560,6 +1584,7 @@ impl MemSystem {
         let p = self.ports[port].pending.as_mut().expect("finish without pending");
         let at = (p.issued + hit_cycles).max(self.cycle + extra);
         p.status = Status::Finishing { at };
+        self.woken.insert(port);
     }
 
     /// Orders a write by `port` into the timestamp history of `line`:
@@ -1774,6 +1799,7 @@ impl MemSystem {
                     if *at > cycle && p.hit && !p.probe_stalled {
                         *at += tick;
                         p.probe_stalled = true;
+                        self.woken.insert(i);
                         self.ports[i].cache.stats_mut().probe_stalls += 1;
                     }
                 }

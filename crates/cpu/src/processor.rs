@@ -8,8 +8,14 @@
 //! misses, write-throughs, bus queueing, and tag-probe interference slow
 //! it down exactly as the hardware would be slowed.
 //!
-//! The driver contract: call [`Processor::tick`] once, for every
-//! processor, per [`MemSystem::step`] — the [`drive`] helper does this.
+//! The driver contract: every processor sees one [`Processor::tick`]
+//! per [`MemSystem::step`], before the step — the [`drive`] helper does
+//! exactly this. A tick that is pure bookkeeping (a compute countdown,
+//! or a wait whose completion cycle has not come) touches nothing but
+//! the processor's own counters, so a driver may instead apply a run of
+//! them later in one [`Processor::advance_idle`]-style credit;
+//! [`drive_events`] does this, ticking a processor only on the cycles
+//! where it issues or completes an access.
 
 use crate::config::CpuConfig;
 use crate::icache::ICache;
@@ -288,13 +294,29 @@ impl Processor {
     /// the span is `cycles_left` (the issue happens on the tick after it
     /// reaches zero). Waiting on memory: wait ticks are pure until the
     /// access's known local completion cycle; while the completion cycle
-    /// is unknown (still waiting on the bus) the processor must poll
-    /// every cycle and the span is zero.
+    /// is unknown (still waiting on the bus) the span is zero, because
+    /// no count of ticks is known to be pure.
     pub fn idle_cycles(&self, sys: &MemSystem) -> u64 {
+        let now = sys.cycle();
+        match self.wake_cycle(sys, now) {
+            NEVER => 0,
+            wake => wake - now,
+        }
+    }
+
+    /// The first cycle at or after `synced` whose tick is not pure
+    /// bookkeeping, for a processor whose ticks before `synced` have all
+    /// been applied; [`NEVER`] while its access waits on the bus (the
+    /// completion cycle is not known yet).
+    ///
+    /// Pure ticks do not change the answer: a compute countdown and the
+    /// cycle it was credited to move together, and a completion cycle
+    /// is a property of the memory system.
+    fn wake_cycle(&self, sys: &MemSystem, synced: u64) -> u64 {
         match &self.state {
-            State::Computing { cycles_left } => *cycles_left,
+            State::Computing { cycles_left } => synced + cycles_left,
             State::WaitingMem { .. } => {
-                sys.completion_cycle(self.port).map_or(0, |at| at.saturating_sub(sys.cycle()))
+                sys.completion_cycle(self.port).map_or(NEVER, |at| at.max(synced))
             }
         }
     }
@@ -308,6 +330,11 @@ impl Processor {
             n <= self.idle_cycles(sys),
             "idle skip of {n} overruns the processor's next interesting cycle"
         );
+        self.credit(n);
+    }
+
+    /// Applies `n` pure-bookkeeping ticks at once.
+    fn credit(&mut self, n: u64) {
         self.stats.cycles += n;
         match &mut self.state {
             State::Computing { cycles_left } => *cycles_left -= n,
@@ -315,6 +342,9 @@ impl Processor {
         }
     }
 }
+
+/// The wake cycle of a processor that nothing has scheduled.
+const NEVER: u64 = u64::MAX;
 
 fn save_kind(k: RefKind, w: &mut SnapWriter) {
     w.u8(match k {
@@ -465,12 +495,11 @@ impl fmt::Debug for Processor {
 /// offline ([`MemSystem::offline_cpu`]) are frozen rather than ticked,
 /// so an N-CPU run degrades to N−1 instead of aborting.
 ///
-/// `#[inline(never)]` is load-bearing: [`drive_events`] delegates its
-/// ticked batches here, and keeping one outlined copy guarantees both
-/// engines execute the *same machine code* per cycle — an inlined
-/// duplicate inside `drive_events` measured several percent slower than
-/// the ticked engine's copy, which is exactly the regression the
-/// busy-bus gate in `arbiter_sweep` guards against.
+/// This is the reference engine that [`drive_events`] is held to, bit
+/// for bit. `#[inline(never)]` keeps one outlined copy of its loop, so
+/// the ticked engine's per-cycle machine code does not depend on the
+/// call site it is inlined into: the busy-bus gate in `arbiter_sweep`
+/// times the event engine against exactly this code.
 #[inline(never)]
 pub fn drive(processors: &mut [Processor], sys: &mut MemSystem, cycles: u64) {
     for _ in 0..cycles {
@@ -510,36 +539,55 @@ impl EngineStats {
     }
 }
 
+/// A processor's place in [`drive_events`]'s schedule.
+#[derive(Copy, Clone)]
+struct Lazy {
+    /// The next cycle whose tick is not pure bookkeeping
+    /// ([`Processor::wake_cycle`]); [`NEVER`] while the processor waits
+    /// on the bus and once its port is offline.
+    wake: u64,
+    /// Every tick before this cycle has been applied or credited.
+    synced: u64,
+    /// Whether the processor is still ticked (its port is online).
+    online: bool,
+}
+
 /// The event-driven form of [`drive`]: bit-identical results (counters,
-/// traces, histograms, snapshots), but idle spans are jumped in one
-/// step instead of ticked.
+/// traces, histograms, snapshots), but the driver does work only at the
+/// cycles where some processor or the memory system has something to
+/// do.
 ///
-/// The driver alternates two regimes, both of which *are* the canonical
-/// engine (ticking is always correct; skipping is only ever applied to
-/// provably inert ticks):
+/// Every online processor carries a wake cycle: the next cycle whose
+/// tick is not pure bookkeeping ([`Processor::idle_cycles`] counts the
+/// pure ticks before it). A compute countdown wakes when it runs out; an
+/// access whose local completion cycle is known wakes at that cycle; an
+/// access still waiting on the bus has no wake cycle until the memory
+/// system reports one through [`MemSystem::take_woken`] — the cycle
+/// became known, a snoop-probe stall moved it, or the port went
+/// offline. The driver drains that set after every
+/// [`MemSystem::step`].
+///
+/// The driver alternates two regimes:
 ///
 /// * **Skip** — when the memory system is idle ([`MemSystem::is_idle`])
-///   and every online processor is inside a compute gap or local
-///   completion countdown ([`Processor::idle_cycles`] > 0), nothing can
-///   happen before the earliest wake-up, so the driver jumps straight
-///   to it — any positive span, however short. When the jump lands
-///   exactly on a wake-up cycle the driver falls through and ticks it
-///   immediately rather than re-probing: the horizon already proved
-///   somebody issues *this* cycle.
-/// * **Tick** — otherwise the driver delegates to [`drive`] itself
-///   (one outlined copy shared with the ticked engine, so the per-cycle
-///   machine code is identical) across the whole guaranteed-busy span
-///   ([`MemSystem::busy_cycles_remaining`]) in a single batch: the skip
-///   predicate cannot hold while a transaction is on the wires, so
-///   probing before the bus drains would be wasted work.
+///   and no online processor is due now, nothing can happen before the
+///   earliest wake-up, so the driver jumps straight to it — any
+///   positive span, however short. When the jump lands exactly on a
+///   wake-up cycle the driver falls through and ticks it immediately
+///   rather than re-probing: the horizon already proved somebody issues
+///   *this* cycle.
+/// * **Tick** — otherwise the driver steps the memory system across the
+///   whole guaranteed-busy span ([`MemSystem::busy_cycles_remaining`])
+///   in one batch, ticking only the processors whose wake cycle has
+///   come: the skip predicate cannot hold while a transaction is on the
+///   wires, so probing before the bus drains would be wasted work.
 ///
-/// The wake-up horizon is recomputed from machine state at every probe,
-/// so checkpoint/restore needs no scheduler section: the next-event
-/// cycle is a pure function of the snapshotted processor and
-/// memory-system state. (A probe stall can push a completion *later*
-/// than an earlier probe predicted, which merely makes a skip land
-/// early and re-probe — never late. A countdown can never shorten, so
-/// a batch never overruns a wake-up.)
+/// The pure ticks a processor missed are credited in one step (as
+/// [`Processor::advance_idle`] does) when it next ticks, when its port
+/// goes offline, and when the call returns, so between calls every
+/// processor is exactly where [`drive`] would have left it. The wake
+/// cycles are recomputed from machine state at every call, so
+/// checkpoint/restore needs no scheduler section.
 pub fn drive_events(processors: &mut [Processor], sys: &mut MemSystem, cycles: u64) -> EngineStats {
     let mut stats = EngineStats::default();
     let Some(end) = sys.cycle().checked_add(cycles) else {
@@ -550,7 +598,7 @@ pub fn drive_events(processors: &mut [Processor], sys: &mut MemSystem, cycles: u
     };
     // Ports not driven by this `processors` slice (a DMA engine stepped
     // by other host code, say) can sit in a local `Finishing` countdown
-    // that no wake-up scan below tracks; `is_idle` deliberately ignores
+    // that no wake cycle below tracks; `is_idle` deliberately ignores
     // those. Every skip is capped at the earliest such foreign
     // completion still in the future, so an interleaved external driver
     // observes its port's wake cycle on time. Completions at or before
@@ -559,73 +607,94 @@ pub fn drive_events(processors: &mut [Processor], sys: &mut MemSystem, cycles: u
     let driven: Vec<usize> = processors.iter().map(|p| p.port().index()).collect();
     let foreign: Vec<PortId> =
         (0..sys.config().ports()).filter(|i| !driven.contains(i)).map(PortId::new).collect();
+    // Whatever changed before this call is read from state here.
+    sys.take_woken();
+    let start = sys.cycle();
+    let mut lazy: Vec<Lazy> = processors
+        .iter()
+        .map(|p| {
+            let online = sys.is_online(p.port());
+            let wake = if online { p.wake_cycle(sys, start) } else { NEVER };
+            Lazy { wake, synced: start, online }
+        })
+        .collect();
+    // The earliest wake cycle, kept up to date wherever one changes.
+    let mut due = lazy.iter().map(|l| l.wake).min().unwrap_or(NEVER);
     while sys.cycle() < end {
         let now = sys.cycle();
-        if sys.is_idle() {
-            // Potential skip: find the earliest wake-up among the
-            // online processors. Any processor due *now* (issuing this
-            // cycle) vetoes the jump. The scan remembers who was online
-            // in a bitmask so the advance pass below doesn't re-ask
-            // (nothing between the passes can offline a port).
-            let mut horizon = end;
-            let mut online = 0u128;
-            let mut all_idle = true;
-            let wide = processors.len() > 128;
-            for (i, p) in processors.iter().enumerate() {
-                if sys.is_online(p.port()) {
-                    let span = p.idle_cycles(sys);
-                    if span == 0 {
-                        all_idle = false;
-                        break;
-                    }
-                    horizon = horizon.min(now.saturating_add(span));
-                    if !wide {
-                        online |= 1 << i;
+        if due > now && sys.is_idle() {
+            debug_assert!(
+                processors
+                    .iter()
+                    .zip(&lazy)
+                    .all(|(p, l)| !l.online || p.wake_cycle(sys, l.synced) == l.wake),
+                "a wake cycle went stale: the memory system did not report a change"
+            );
+            let mut horizon = end.min(due);
+            for &p in &foreign {
+                if let Some(at) = sys.completion_cycle(p) {
+                    if at > now {
+                        horizon = horizon.min(at);
                     }
                 }
             }
-            if all_idle {
-                if !foreign.is_empty() {
-                    for &p in &foreign {
-                        if let Some(at) = sys.completion_cycle(p) {
-                            if at > now {
-                                horizon = horizon.min(at);
-                            }
-                        }
-                    }
-                }
-                let span = horizon - now;
-                if span > 0 {
-                    for (i, p) in processors.iter_mut().enumerate() {
-                        let on =
-                            if wide { sys.is_online(p.port()) } else { online & (1 << i) != 0 };
-                        if on {
-                            p.advance_idle(span, sys);
-                        }
-                    }
-                    sys.advance_idle(span);
-                    stats.idle_skips += 1;
-                    stats.cycles_skipped += span;
-                    if horizon == end {
-                        continue;
-                    }
-                    stats.events_fired += 1;
-                }
-                // The skip landed exactly on a wake-up: somebody issues
-                // *this* cycle. Fall through and tick it immediately —
-                // re-probing would only rediscover what the horizon
-                // already told us.
+            let span = horizon - now;
+            sys.advance_idle(span);
+            stats.idle_skips += 1;
+            stats.cycles_skipped += span;
+            if horizon == end {
+                continue;
             }
+            stats.events_fired += 1;
+            // The skip landed exactly on a wake-up: somebody issues
+            // *this* cycle. Fall through and tick it immediately —
+            // re-probing would only rediscover what the horizon
+            // already told us.
         }
-        // Someone is due this cycle (or the system is mid-transaction):
-        // run the canonical engine across the whole known busy span in
-        // one batch — the skip predicate cannot hold while a
-        // transaction is on the wires, so probing again before it
-        // drains would be wasted work.
         let now = sys.cycle();
         let span = sys.busy_cycles_remaining().max(1).min(end - now);
-        drive(processors, sys, span);
+        for _ in 0..span {
+            let cycle = sys.cycle();
+            if due <= cycle {
+                due = NEVER;
+                for (p, l) in processors.iter_mut().zip(&mut lazy) {
+                    if l.wake <= cycle {
+                        p.credit(cycle - l.synced);
+                        p.tick(sys);
+                        l.synced = cycle + 1;
+                        l.wake = p.wake_cycle(sys, cycle + 1);
+                    }
+                    due = due.min(l.wake);
+                }
+            }
+            sys.step();
+            let woken = sys.take_woken();
+            if !woken.is_empty() {
+                let next = sys.cycle();
+                due = NEVER;
+                for (p, l) in processors.iter_mut().zip(&mut lazy) {
+                    if l.online && woken.contains(p.port()) {
+                        if sys.is_online(p.port()) {
+                            l.wake = p.wake_cycle(sys, l.synced);
+                        } else {
+                            // Machine-checked during this step: it ticked
+                            // (if due) this cycle and is frozen from the
+                            // next.
+                            p.credit(next - l.synced);
+                            l.online = false;
+                            l.wake = NEVER;
+                        }
+                    }
+                    due = due.min(l.wake);
+                }
+            }
+        }
         stats.ticked_iterations += span;
+    }
+    for (p, l) in processors.iter_mut().zip(&lazy) {
+        if l.online {
+            p.credit(end - l.synced);
+        }
     }
     stats
 }

@@ -15,6 +15,7 @@
 
 use firefly::core::fault::FaultConfig;
 use firefly::core::protocol::ProtocolKind;
+use firefly::cpu::{CpuConfig, PrefetchConfig};
 use firefly::net::NetFaultConfig;
 use firefly::sim::fleet::{brownout, crash, partition, rejoin, storm, Fleet, FleetConfig};
 use firefly::sim::{EngineMode, Firefly, FireflyBuilder, Workload};
@@ -326,6 +327,86 @@ fn idle_heavy_single_cpu_run_is_identical() {
     assert_eq!(events.memory().bus_stats().total_cycles, 200_000);
     assert_eq!(stats_json(&ticked), stats_json(&events));
     assert_eq!(ticked.save_snapshot().unwrap(), events.save_snapshot().unwrap());
+}
+
+/// Runs `ticked` and `events` in lockstep over `chunks` (odd lengths, so
+/// chunk ends fall mid-transaction and mid-countdown), comparing the
+/// stats JSON after every chunk and the snapshot bytes at the end.
+fn assert_engines_agree(what: &str, ticked: &mut Firefly, events: &mut Firefly, chunks: &[u64]) {
+    for (i, &chunk) in chunks.iter().enumerate() {
+        ticked.run(chunk);
+        events.run(chunk);
+        assert_eq!(stats_json(ticked), stats_json(events), "{what}: stats diverged in chunk {i}");
+    }
+    assert_eq!(
+        ticked.save_snapshot().unwrap(),
+        events.save_snapshot().unwrap(),
+        "{what}: snapshot bytes diverged"
+    );
+}
+
+/// Odd chunk lengths, from a few cycles to tens of thousands.
+const ODD_CHUNKS: [u64; 9] = [7_919, 1, 3, 12_347, 999, 5, 20_011, 77, 9_001];
+
+/// CPUs machine-checked offline mid-run by double-bit ECC errors, on
+/// every protocol and several seeds. A processor that waits on the bus
+/// when its port goes offline is frozen at that cycle: the event engine
+/// must credit its skipped wait ticks up to exactly there, and no
+/// further.
+#[test]
+fn engines_bit_identical_when_cpus_go_offline_mid_run() {
+    for kind in ProtocolKind::ALL {
+        for seed in [1u64, 2, 3] {
+            let plan = FaultConfig {
+                ecc_double_ppm: 3_000,
+                ..FaultConfig::correctable(seed ^ kind as u64, 5_000)
+            };
+            let build = |engine| {
+                FireflyBuilder::microvax(4)
+                    .protocol(kind)
+                    .seed(seed)
+                    .faults(plan)
+                    .engine(engine)
+                    .build()
+            };
+            let mut ticked = build(EngineMode::Ticked);
+            let mut events = build(EngineMode::EventDriven);
+            let what = format!("{kind:?} seed {seed}");
+            assert_engines_agree(&what, &mut ticked, &mut events, &ODD_CHUNKS);
+            assert!(ticked.fault_stats().cpus_offlined > 0, "{what}: no CPU went offline");
+        }
+    }
+}
+
+/// The CVAX machine (on-chip I-cache hits never leave the chip) and
+/// the MicroVAX prefetcher on both variants (a wasted prefetch is issued
+/// from the tick that completes the fetch before it).
+#[test]
+fn engines_bit_identical_with_onchip_icache_and_prefetch() {
+    let prefetch = PrefetchConfig::microvax_chip();
+    let machines = [
+        ("CVAX", FireflyBuilder::cvax(4)),
+        (
+            "MicroVAX + prefetch",
+            FireflyBuilder::microvax(4).cpu_config(CpuConfig::microvax().with_prefetch(prefetch)),
+        ),
+        (
+            "CVAX + prefetch",
+            FireflyBuilder::cvax(4).cpu_config(CpuConfig::cvax().with_prefetch(prefetch)),
+        ),
+    ];
+    for (what, builder) in machines {
+        let mut ticked = builder.clone().engine(EngineMode::Ticked).build();
+        let mut events = builder.engine(EngineMode::EventDriven).build();
+        assert_engines_agree(what, &mut ticked, &mut events, &ODD_CHUNKS);
+        let cpu = ticked.processors()[0].stats();
+        if what.starts_with("CVAX") {
+            assert!(cpu.icache_hits > 0, "{what}: no on-chip I-cache hits");
+        }
+        if what.ends_with("prefetch") {
+            assert!(cpu.wasted_prefetches > 0, "{what}: no wasted prefetches");
+        }
+    }
 }
 
 /// The seed the fleet scenarios run at in the bench bins and CI.
